@@ -16,3 +16,15 @@ def test_ablation_truncation(benchmark, save_report):
         ablation_truncation.render_report(result),
         ablation_truncation.result_rows(result),
     )
+
+
+def test_auto_within_gate_of_best_depth():
+    """ROADMAP 4's gate: on serial, ``auto`` takes at most 1.1× the
+    measured time of the best fixed depth, on every model."""
+    result = ablation_truncation.run(Scale.SMOKE)
+    serial = [g for g in result["gate"] if g["gated"]]
+    assert {g["model"] for g in serial} == {
+        "lenet", "pruned_vgg11", "rnn", "transformer_block"
+    }
+    for g in serial:
+        assert g["ratio"] <= ablation_truncation.GATE_RATIO, g

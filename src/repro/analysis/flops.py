@@ -91,10 +91,20 @@ class StaticScanAnalyzer:
         per-level critical steps (max FLOPs in each level — the filled
         circles of Figure 11).
         """
-        self.steps = []
-        items: List[object] = [VectorElement(grad_dim)]
-        items.extend(patterns)
+        return self.analyze_items(
+            [VectorElement(grad_dim), *patterns], algorithm, up_levels
+        )
 
+    def analyze_items(
+        self,
+        items: Sequence[object],
+        algorithm: str = "truncated",
+        up_levels: int = 2,
+    ) -> List[StepCost]:
+        """Cost the scan of symbolic ``items`` — :class:`VectorElement`
+        seeds and pattern-like matrices in Eq. 5 order.  :meth:`analyze`
+        is the gradient-seeded special case."""
+        self.steps = []
         if algorithm == "linear":
             linear_scan(items, self._op)
         elif algorithm == "blelloch":

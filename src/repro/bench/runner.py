@@ -57,6 +57,7 @@ from repro.experiments import (
     table2_devices,
 )
 from repro.experiments.common import Scale
+from repro.scan.shape import Shape, observe_shapes, shape_spec
 
 #: Backend value recorded for artifacts that never reach a scan executor.
 NO_BACKEND = "n/a"
@@ -166,6 +167,32 @@ def measurement_config(
     the measurement's :class:`~repro.bench.record.BenchRecord` embeds.
     """
     return ScanConfig(executor=spec, sparse=sparse, kernel=kernel)
+
+
+def record_config(cfg: ScanConfig, shapes: Iterable[Shape]) -> Dict[str, Any]:
+    """A record's config, naming the shape ``auto`` actually ran.
+
+    ``shapes`` are the shapes ``auto`` resolved to during the
+    measurement.  One shape replaces ``auto``; several stay ``auto``
+    and are listed under ``"shapes"``.  With none observed, a
+    one-worker executor still pins ``linear``, the shape ``auto`` always
+    takes there.
+    """
+    d = cfg.to_dict()
+    if cfg.algorithm != "auto":
+        return d
+    seen = set(shapes)
+    if not seen:
+        from repro.backend import get_executor
+
+        with get_executor(cfg.executor) as ex:
+            if ex.workers == 1:
+                seen = {("linear", cfg.up_levels)}
+    if len(seen) == 1:
+        d["algorithm"], d["up_levels"] = seen.pop()
+    elif seen:
+        d["shapes"] = sorted(shape_spec(shape) for shape in seen)
+    return d
 
 
 def _experiment(module):
@@ -592,18 +619,18 @@ def run_bench(
         for spec in specs:
             for mode in modes:
                 for kern in kernels:
-                    rows, stats = measure(
-                        lambda: artifact.rows_fn(scale, spec, mode, kern),
-                        warmup=warmup,
-                        repeats=repeats,
-                    )
+                    with observe_shapes() as shapes:
+                        rows, stats = measure(
+                            lambda: artifact.rows_fn(scale, spec, mode, kern),
+                            warmup=warmup,
+                            repeats=repeats,
+                        )
                     try:
                         # Every record states exactly which (resolved)
                         # configuration produced it.
-                        cfg_dict = (
-                            measurement_config(spec, mode, kern)
-                            .resolve()
-                            .to_dict()
+                        cfg_dict = record_config(
+                            measurement_config(spec, mode, kern).resolve(),
+                            shapes,
                         )
                     except (ValueError, TypeError) as exc:
                         # Malformed ambient REPRO_SCAN_* values must not

@@ -20,14 +20,14 @@ single resolution point that fills unset fields, in precedence order:
    ``REPRO_SCAN_KERNEL``),
 4. engine-supplied defaults (e.g. the RNN engine's never-densify
    policy),
-5. the global defaults (``blelloch`` / 2 levels / ``serial`` /
+5. the global defaults (``auto`` scan shape / 2 levels / ``serial`` /
    ``auto`` dispatch at the default densify threshold / private
    pattern cache).
 
 Spec grammar (``/``-separated segments, each optional, any order)::
 
     spec      := segment ("/" segment)*
-    segment   := algorithm [":" up_levels]      e.g. "blelloch", "truncated:3"
+    segment   := algorithm [":" up_levels]      e.g. "auto", "truncated:3"
                | executor-spec                  e.g. "serial", "thread:8"
                | "sparse=" mode [":" threshold] e.g. "sparse=auto:0.4"
                | "up=" int                      truncation depth
@@ -60,7 +60,10 @@ from repro.scan.sparse_policy import (
 )
 
 #: Scan algorithms an engine can run (shared by both BPPSA engines).
-ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
+#: ``"auto"`` is resolved by the engine, per scan input shape and
+#: worker count, to one of the concrete truncation depths — see
+#: :mod:`repro.scan.shape`.
+ALGORITHMS = ("auto", "blelloch", "linear", "hillis_steele", "truncated")
 
 #: Pattern-cache policies: per-engine cache vs. one process-wide cache.
 PATTERN_CACHE_POLICIES = ("private", "shared")
@@ -148,8 +151,10 @@ class ScanConfig:
     Fields
     ------
     algorithm:
-        ``"blelloch"`` | ``"linear"`` | ``"hillis_steele"`` |
-        ``"truncated"`` (resolves to ``"blelloch"``).
+        ``"auto"`` | ``"blelloch"`` | ``"linear"`` | ``"hillis_steele"``
+        | ``"truncated"`` (resolves to ``"auto"``: the engine picks the
+        truncation depth with the lowest modeled critical path, which
+        is the ``linear`` chain on one worker).
     up_levels:
         Truncation depth for the ``truncated`` algorithm (resolves
         to 2).
@@ -563,7 +568,7 @@ class ScanConfig:
 #: Bottom rung of the precedence ladder (``sparse_linear_tol`` has no
 #: default — unset means dense linear Jacobians).
 _GLOBAL_DEFAULTS = ScanConfig(
-    algorithm="blelloch",
+    algorithm="auto",
     up_levels=2,
     executor="serial",
     sparse="auto",

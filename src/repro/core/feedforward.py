@@ -35,16 +35,13 @@ from repro.scan import (
     ScanContext,
     SparseJacobian,
     SparsePolicy,
-    blelloch_scan,
-    hillis_steele_scan,
-    linear_scan,
-    truncated_blelloch_scan,
 )
+from repro.scan.shape import AutoShape, ShapedScan
 from repro.sparse import PatternCache
 from repro.tensor import Tensor, no_grad
 
 
-class FeedforwardBPPSA(ExecutorOwner):
+class FeedforwardBPPSA(ShapedScan, ExecutorOwner):
     """Gradient engine running BP as a parallel scan over a Sequential.
 
     Parameters
@@ -67,10 +64,13 @@ class FeedforwardBPPSA(ExecutorOwner):
         than the instance actually in use (``self.executor`` /
         ``self.context.cache`` are authoritative).
     algorithm:
-        ``"blelloch"`` (default), ``"linear"`` (the serial baseline,
-        numerically identical to BP), ``"hillis_steele"``, or
-        ``"truncated"`` (Section 5.2; set ``up_levels``).  Overrides
-        the ``config`` field when given.
+        ``"auto"`` (default: the truncation depth with the lowest
+        modeled critical path on the scan's executor — ``"linear"`` on
+        one worker; see :mod:`repro.scan.shape`), ``"blelloch"``,
+        ``"linear"`` (the serial baseline, numerically identical to
+        BP), ``"hillis_steele"``, or ``"truncated"`` (Section 5.2; set
+        ``up_levels``).  Overrides the ``config`` field when given;
+        ``self.config`` names the concrete shape of the latest scan.
     sparse_linear_tol:
         When set, linear-layer Jacobians are stored in CSR dropping
         entries ≤ tol — the pruned-retraining configuration.
@@ -132,6 +132,7 @@ class FeedforwardBPPSA(ExecutorOwner):
         self.algorithm = cfg.algorithm
         self.up_levels = cfg.up_levels
         self.sparse_linear_tol = cfg.sparse_linear_tol
+        self._auto = AutoShape()
         self.set_executor(_construction_executor(merged, cfg, executor))
         self.context = ScanContext(
             pattern_cache=(
@@ -249,20 +250,7 @@ class FeedforwardBPPSA(ExecutorOwner):
     # ------------------------------------------------------------------
     def _run_scan(self, items: list) -> list:
         self.context.reset_trace()
-        if self.algorithm == "linear":
-            return linear_scan(items, self.context.op)
-        if self.algorithm == "hillis_steele":
-            return hillis_steele_scan(
-                items, self.context.op, executor=self.executor
-            )
-        if self.algorithm == "truncated":
-            return truncated_blelloch_scan(
-                items,
-                self.context.op,
-                up_levels=self.up_levels,
-                executor=self.executor,
-            )
-        return blelloch_scan(items, self.context.op, executor=self.executor)
+        return self._scan(items)
 
     def _accumulate_param_grads(
         self, layer, idx: int, g_out: np.ndarray, grads: Dict[int, np.ndarray]

@@ -23,19 +23,11 @@ from repro.config import ScanConfig, merge_engine_kwargs
 from repro.config.facade import construction_executor as _construction_executor
 from repro.nn.loss import softmax_xent_grad
 from repro.nn.rnn import RNNClassifier
-from repro.scan import (
-    DenseJacobian,
-    GradientVector,
-    ScanContext,
-    SparsePolicy,
-    blelloch_scan,
-    hillis_steele_scan,
-    linear_scan,
-    truncated_blelloch_scan,
-)
+from repro.scan import DenseJacobian, GradientVector, ScanContext, SparsePolicy
+from repro.scan.shape import AutoShape, ShapedScan
 
 
-class RNNBPPSA(ExecutorOwner):
+class RNNBPPSA(ShapedScan, ExecutorOwner):
     """Scan-based gradient engine for :class:`~repro.nn.rnn.RNNClassifier`.
 
     ``config`` names the whole scan surface declaratively
@@ -85,6 +77,7 @@ class RNNBPPSA(ExecutorOwner):
         self.clf = classifier
         self.algorithm = cfg.algorithm
         self.up_levels = cfg.up_levels
+        self._auto = AutoShape()
         self.set_executor(_construction_executor(merged, cfg, executor))
         self.context = ScanContext(
             pattern_cache=cfg.make_pattern_cache(),
@@ -170,21 +163,7 @@ class RNNBPPSA(ExecutorOwner):
             items.append(DenseJacobian(jacs[t]))
 
         self.context.reset_trace()
-        if self.algorithm == "linear":
-            scanned = linear_scan(items, self.context.op)
-        elif self.algorithm == "hillis_steele":
-            scanned = hillis_steele_scan(
-                items, self.context.op, executor=self.executor
-            )
-        elif self.algorithm == "truncated":
-            scanned = truncated_blelloch_scan(
-                items,
-                self.context.op,
-                up_levels=self.up_levels,
-                executor=self.executor,
-            )
-        else:
-            scanned = blelloch_scan(items, self.context.op, executor=self.executor)
+        scanned = self._scan(items)
 
         # out[p] = ∇h_{T−p+1} for p = 1..T.
         batch, hidden = grad_h_last.shape

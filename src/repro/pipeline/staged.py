@@ -57,6 +57,7 @@ from repro.scan import (
     GradientVector,
     blelloch_num_levels,
 )
+from repro.scan.shape import AutoShape
 from repro.serve.pool import EnginePool
 
 SCHEDULES = ("gpipe", "pipedream")
@@ -103,9 +104,12 @@ class StagedRNNBPPSA:
         stages or a ``K``-entry list (PR 5 grammar, e.g.
         ``["truncated/thread:2", "truncated/serial"]``), resolved via
         :func:`repro.config.stage_configs`.  All stages must agree on
-        the algorithm family (``truncated`` or ``linear``) and
+        the algorithm family (``truncated``, ``linear`` or ``auto``) and
         truncation depth — block alignment is global — but may differ
-        freely in executor backend, kernel, and sparse mode.
+        freely in executor backend, kernel, and sparse mode.  ``auto``
+        picks one depth for the whole chain per sequence length, from
+        the cost model of :mod:`repro.scan.shape` on the fewest workers
+        any stage has — the depth the monolithic engine would run.
     pool:
         A shared :class:`~repro.serve.EnginePool` (stages naming equal
         resolved configs share one engine).  When omitted the instance
@@ -145,10 +149,10 @@ class StagedRNNBPPSA:
                 f"got {sorted(algorithms)}"
             )
         self.algorithm = algorithms.pop()
-        if self.algorithm not in ("truncated", "linear"):
+        if self.algorithm not in ("truncated", "linear", "auto"):
             raise ValueError(
-                f"staged backward requires the truncated/linear scan family "
-                f"(block-aligned slices); got {self.algorithm!r}"
+                "staged backward requires the truncated/linear/auto scan "
+                f"family (block-aligned slices); got {self.algorithm!r}"
             )
         up = {cfg.up_levels for cfg in self.configs}
         if len(up) > 1:
@@ -160,6 +164,7 @@ class StagedRNNBPPSA:
         self._own_pool = pool is None
         self.pool = pool if pool is not None else EnginePool()
         self.engines = self.pool.get_many(self.configs)
+        self._auto = AutoShape()
         self.last_run_stats: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -177,7 +182,7 @@ class StagedRNNBPPSA:
                 f"sequence length {seq_len} cannot fill {self.K} stages"
             )
         n_slots = seq_len + 1
-        k = max(0, min(self.up_levels, blelloch_num_levels(n_slots) - 1))
+        k = max(0, min(self._depth(seq_len), blelloch_num_levels(n_slots) - 1))
         spans = partition_units(n_slots, self.K, block=1 << k)
         # Device k runs scan stage s = K−1−k; its forward time span
         # follows from the slot span (see module docstring).
@@ -208,6 +213,19 @@ class StagedRNNBPPSA:
             "stage_layers": stage_layers,
             "schedule": sched,
         }
+
+    def _depth(self, seq_len: int) -> int:
+        """The truncation depth of the whole chain (``auto`` resolved)."""
+        if self.algorithm != "auto":
+            return self.up_levels
+        hidden = self.clf.rnn.cell.hidden_size
+        jac = DenseJacobian(np.zeros((hidden, hidden)))
+        chain = [GradientVector(np.zeros(hidden))] + [jac] * seq_len
+        workers = min(engine.executor.workers for engine in self.engines)
+        algorithm, up = self._auto.resolve("auto", 0, chain, workers)
+        if algorithm == "blelloch":
+            return blelloch_num_levels(seq_len + 1) - 1
+        return up
 
     # ------------------------------------------------------------------
     # the pipelined run

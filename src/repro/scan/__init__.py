@@ -26,6 +26,9 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
 * :func:`truncated_blelloch_scan` — Section 5.2's balanced variant
   (up-sweep only to level k, serial matrix–vector middle, down-sweep
   from level k), used by the pruned-VGG-11 benchmark;
+* :func:`run_scan` — the one switch over those shapes, and
+  :mod:`repro.scan.shape`, which resolves ``algorithm="auto"`` to the
+  truncation depth with the lowest modeled critical path;
 * a scan-DAG builder for the PRAM simulator (Figure 4's schedule).
 
 *Where* each level's independent ⊙ ops execute is pluggable: every
@@ -69,6 +72,7 @@ from repro.scan.algorithms import (
     blelloch_num_levels,
     hillis_steele_scan,
     linear_scan,
+    run_scan,
     simple_op,
     stage_truncated_scan,
     truncated_blelloch_scan,
@@ -112,6 +116,7 @@ __all__ = [
     "OpInfo",
     "StepRecord",
     "linear_scan",
+    "run_scan",
     "blelloch_scan",
     "blelloch_num_levels",
     "hillis_steele_scan",

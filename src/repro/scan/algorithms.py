@@ -138,14 +138,19 @@ def linear_scan(
     step is a matrix–vector product when ``a[0]`` is the gradient
     vector, exactly like Eq. 3 executed layer by layer.
 
-    ``executor`` is accepted for API uniformity but unused: each step
-    depends on the previous one, so there is nothing to dispatch.
+    Each step depends on the previous one, so every ⊙ is dispatched to
+    ``executor`` as a one-task level.  The serial, thread and process
+    backends all run a one-task level inline, so this costs one call,
+    and each ⊙ still goes through the backend like every other shape.
     """
     out: List[Any] = [identity]
     acc = identity
-    for k, item in enumerate(items[:-1]):
-        acc = op(acc, item, OpInfo("linear", 0, k, k + 1))
-        out.append(acc)
+    with _resolved_executor(executor) as ex:
+        for k, item in enumerate(items[:-1]):
+            (acc,) = ex.run_level(
+                [LevelTask(op, acc, item, OpInfo("linear", 0, k, k + 1))]
+            )
+            out.append(acc)
     return out
 
 
@@ -328,3 +333,31 @@ def stage_truncated_scan(
 
         _down_sweep(a, op, n, range(k - 1, -1, -1), ex)
     return a, pfx
+
+
+#: The concrete scan shapes :func:`run_scan` dispatches.
+SHAPES = ("linear", "blelloch", "hillis_steele", "truncated")
+
+
+def run_scan(
+    items: Sequence[Any],
+    op: OpFn,
+    algorithm: str,
+    up_levels: int = 0,
+    executor: ExecutorLike = None,
+) -> List[Any]:
+    """Run the scan shape ``algorithm`` (``up_levels`` deep when it is
+    ``"truncated"``) over ``items`` — the one algorithm switch every
+    engine shares.  ``"auto"`` must be resolved to a concrete shape
+    first (:class:`repro.scan.shape.AutoShape`)."""
+    if algorithm == "linear":
+        return linear_scan(items, op, executor=executor)
+    if algorithm == "blelloch":
+        return blelloch_scan(items, op, executor=executor)
+    if algorithm == "hillis_steele":
+        return hillis_steele_scan(items, op, executor=executor)
+    if algorithm == "truncated":
+        return truncated_blelloch_scan(
+            items, op, up_levels=up_levels, executor=executor
+        )
+    raise ValueError(f"scan shape must be one of {SHAPES}, got {algorithm!r}")

@@ -22,15 +22,8 @@ from typing import Any, Dict, List, Sequence
 
 from repro.backend.registry import get_executor
 from repro.config import ScanConfig
-from repro.scan import (
-    IDENTITY,
-    ScanContext,
-    blelloch_scan,
-    hillis_steele_scan,
-    linear_scan,
-    stage_truncated_scan,
-    truncated_blelloch_scan,
-)
+from repro.scan import IDENTITY, ScanContext, run_scan, stage_truncated_scan
+from repro.scan.shape import AutoShape
 
 
 class ScanEngine:
@@ -57,6 +50,7 @@ class ScanEngine:
             kernel=config.kernel,
         )
         self.executor = get_executor(config.executor)
+        self._auto = AutoShape()
         self.scans = 0
         self.jobs = 0
         self._lock = threading.Lock()
@@ -66,26 +60,20 @@ class ScanEngine:
 
         ``jobs`` is the number of client jobs this scan carries (> 1
         when the server merged same-shape requests); it only feeds the
-        engine's usage counters.
+        engine's usage counters.  An ``auto`` config resolves per item
+        signature without the batch axis, so a merged scan runs the
+        same shape as each of its jobs alone.
         """
         with self._lock:
             self.scans += 1
             self.jobs += jobs
-        algorithm = self.config.algorithm
-        if algorithm == "linear":
-            return linear_scan(items, self.context.op)
-        if algorithm == "hillis_steele":
-            return hillis_steele_scan(
-                items, self.context.op, executor=self.executor
-            )
-        if algorithm == "truncated":
-            return truncated_blelloch_scan(
-                items,
-                self.context.op,
-                up_levels=self.config.up_levels,
-                executor=self.executor,
-            )
-        return blelloch_scan(items, self.context.op, executor=self.executor)
+        algorithm, up = self._auto.resolve(
+            self.config.algorithm,
+            self.config.up_levels,
+            items,
+            self.executor.workers,
+        )
+        return run_scan(items, self.context.op, algorithm, up, self.executor)
 
     def run_stage_scan(
         self,

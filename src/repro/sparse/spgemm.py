@@ -190,7 +190,16 @@ def spgemm_numeric_batched(
     data_a = np.atleast_2d(np.asarray(data_a, dtype=np.float64))
     data_b = np.atleast_2d(np.asarray(data_b, dtype=np.float64))
     batch = max(data_a.shape[0], data_b.shape[0])
-    vals = data_a[:, src_a] * data_b[:, src_b]  # (B, n_expanded)
+    # np.take gathers C-contiguous (``data[:, src]`` does not), so the
+    # product is built in place and the flatten below is a view, not a
+    # hidden copy of the largest array of the step.
+    gathered_a = np.take(data_a, src_a, axis=1)
+    gathered_b = np.take(data_b, src_b, axis=1)
+    vals = np.multiply(
+        gathered_a,
+        gathered_b,
+        out=gathered_a if gathered_a.shape[0] == batch else gathered_b,
+    )  # (B, n_expanded)
     if vals.shape[1] == 0:
         return np.zeros((batch, out_nnz))
     # One flat bincount covers the whole batch.

@@ -162,7 +162,7 @@ class TestResolvePrecedence:
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
         monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
         cfg = ScanConfig().resolve()
-        assert cfg.algorithm == "blelloch"
+        assert cfg.algorithm == "auto"
         assert cfg.up_levels == 2
         assert cfg.executor == "serial"
         assert cfg.sparse == "auto"

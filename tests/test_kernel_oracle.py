@@ -41,8 +41,10 @@ from repro.scan import (
     hillis_steele_scan,
     linear_scan,
     numba_available,
+    run_scan,
     truncated_blelloch_scan,
 )
+from repro.scan.shape import AutoShape
 from repro.sparse import CSRMatrix, build_spgemm_plan
 from repro.sparse.spgemm import spgemm_numeric_batched
 
@@ -166,6 +168,23 @@ class TestKernelOracleMatrix:
                     f"cell ({algorithm}, {backend}, sparse={sparse}, "
                     f"kernel={kernel}) diverged from the reference"
                 )
+
+    @pytest.mark.parametrize("sparse", SPARSE_MODES)
+    def test_auto_cell_matches_its_resolved_shape(self, sparse):
+        """``auto`` picks a shape per backend; every cell equals the
+        reference cell of the shape it picked."""
+        items = oracle_items(0x5EED)
+        for backend in BACKENDS:
+            for kernel in KERNELS:
+                ctx = ScanContext(sparse=sparse, kernel=kernel)
+                with get_executor(backend) as ex:
+                    shape = AutoShape().resolve("auto", 2, items, ex.workers)
+                    got = snapshot(run_scan(items, ctx.op, *shape, executor=ex))
+                ref_ctx = ScanContext(sparse=sparse, kernel="numpy")
+                ref = snapshot(run_scan(items, ref_ctx.op, *shape, executor="serial"))
+                assert got == ref, (backend, kernel, shape)
+                if backend == "serial":
+                    assert shape == ("linear", 2)
 
     def test_kernel_object_cell_matches_named_cell(self):
         """Passing a ScanKernel instance equals passing its name."""
